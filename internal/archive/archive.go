@@ -389,8 +389,8 @@ func Open(path string) (Reader, error) {
 	// Serve through a memory mapping when the platform has one: backend
 	// reads become copies out of the page cache (no syscall per read), and
 	// backends that understand the mapping's Slice method (rawstore's
-	// zero-copy views, the blockstore's compressed-block reads) skip even
-	// that copy. Any mmap failure — unsupported platform, unmappable
+	// zero-copy views, the blockstore's compressed-block reads, the RLZ
+	// store's record reads) skip even that copy. Any mmap failure — unsupported platform, unmappable
 	// filesystem — falls back to pread on the file, same semantics.
 	if m, err := mmapio.Map(f, st.Size()); err == nil {
 		rd, err := OpenReaderAt(m, st.Size())

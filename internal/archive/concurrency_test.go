@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"rlz/internal/rlz"
 )
 
 // TestConcurrentGetSharedReader is the read-path race sweep at the
@@ -14,8 +16,15 @@ import (
 // destination buffers) for every registered backend.
 func TestConcurrentGetSharedReader(t *testing.T) {
 	docs := makeDocs(48, 11)
+	cases := map[string]Options{}
 	for backend, opts := range optionsFor(t, docs) {
-		t.Run(string(backend), func(t *testing.T) {
+		cases[string(backend)] = opts
+	}
+	// ZZ inflates both streams of every record, so concurrent Gets share
+	// rlz's pooled inflate state twice per document.
+	cases["rlz-ZZ"] = Options{Backend: RLZ, Dict: dictFor(docs), Codec: rlz.CodecZZ}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if _, err := Build(&buf, FromBodies(docs), opts); err != nil {
 				t.Fatal(err)

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"sync"
 
 	"rlz/internal/coding"
 )
@@ -173,32 +176,75 @@ func (c PairCodec) Decode(factors []Factor, src []byte) ([]Factor, int, error) {
 		return factors, pos, fmt.Errorf("%w: length stream: %v", ErrCorruptEncoding, err)
 	}
 	pos += n
+	if k > c.maxFactors(len(posBlob), len(lenBlob)) {
+		return factors, pos, fmt.Errorf("%w: %d factors in %d position and %d length bytes", ErrCorruptEncoding, k, len(posBlob), len(lenBlob))
+	}
 
+	st := inflaters.Get().(*inflater)
+	factors, err = c.decodeStreams(st, factors, k, posBlob, lenBlob)
+	if cap(st.out) > maxPooledInflate {
+		st.out = nil // do not pin one outsized record's buffer in the pool
+	}
+	inflaters.Put(st)
+	return factors, pos, err
+}
+
+// maxFactors bounds the factor count a record's streams can hold, judged
+// by whichever stream is stored without zlib, so a record cannot declare
+// more factors than its raw bytes allow and have Decode inflate and
+// allocate for them. U positions take exactly 4 bytes each; a length
+// takes at least a byte as a vbyte (V, and S's vbyte fallback), a bit
+// under Huffman (H), and a seventh of a byte packed 28 to a Simple9 word
+// (S). ZZ has no raw stream: its streams are bounded only by the size
+// the count allows (see inflate), so a ZZ record of n bytes may still
+// inflate to zlib's maximum expansion of about 1000n before it is
+// rejected.
+func (c PairCodec) maxFactors(posBytes, lenBytes int) int {
+	switch {
+	case c.Pos == PosU:
+		return posBytes / 4
+	case c.Len == LenV:
+		return lenBytes
+	case c.Len == LenS:
+		return 7 * lenBytes
+	case c.Len == LenH:
+		return 8 * lenBytes
+	}
+	return math.MaxInt
+}
+
+// decodeStreams appends the k factors held in the (still encoded)
+// position and length streams to factors. On error factors comes back
+// at its original length.
+func (c PairCodec) decodeStreams(st *inflater, factors []Factor, k int, posBlob, lenBlob []byte) ([]Factor, error) {
+	var err error
 	if c.Pos == PosZ {
-		posBlob, err = inflateBlob(posBlob, 4*k)
+		posBlob, err = st.inflate(posBlob, 4*k)
 		if err != nil {
-			return factors, pos, fmt.Errorf("%w: position zlib: %v", ErrCorruptEncoding, err)
+			return factors, fmt.Errorf("%w: position zlib: %v", ErrCorruptEncoding, err)
 		}
 	}
-	if c.Len == LenZ {
-		lenBlob, err = inflateBlob(lenBlob, 2*k)
-		if err != nil {
-			return factors, pos, fmt.Errorf("%w: length zlib: %v", ErrCorruptEncoding, err)
-		}
-	}
-
 	if len(posBlob) != 4*k {
-		return factors, pos, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(posBlob), k)
+		return factors, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(posBlob), k)
 	}
 	base := len(factors)
+	factors = slices.Grow(factors, k)
 	for i := 0; i < k; i++ {
 		p, _ := coding.U32(posBlob[4*i:])
 		factors = append(factors, Factor{Pos: p})
 	}
-	if err := c.decodeLens(factors[base:], lenBlob); err != nil {
-		return factors[:base], pos, err
+	// The position bytes are consumed, so the length stream may reuse
+	// the inflate buffer.
+	if c.Len == LenZ {
+		lenBlob, err = st.inflate(lenBlob, coding.MaxVByteLen32*k)
+		if err != nil {
+			return factors[:base], fmt.Errorf("%w: length zlib: %v", ErrCorruptEncoding, err)
+		}
 	}
-	return factors, pos, nil
+	if err := c.decodeLens(factors[base:], lenBlob); err != nil {
+		return factors[:base], err
+	}
+	return factors, nil
 }
 
 // decodeLens fills in the Len field of factors from the (already
@@ -275,23 +321,60 @@ func deflateBlob(raw []byte) []byte {
 	return buf.Bytes()
 }
 
-func inflateBlob(blob []byte, sizeHint int) ([]byte, error) {
-	zr, err := zlib.NewReader(bytes.NewReader(blob))
-	if err != nil {
+// inflater is the reusable state for inflating a record's zlib
+// streams: the window and Huffman tables of one zlib reader, re-armed per
+// stream through zlib.Resetter, and the buffer the stream inflates into.
+// Decode draws one from inflaters, so steady-state decodes allocate no
+// inflate state on any caller's path.
+type inflater struct {
+	br  bytes.Reader
+	zr  io.ReadCloser // also a zlib.Resetter
+	out []byte
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// maxPooledInflate caps the buffer an inflater keeps between decodes.
+const maxPooledInflate = 1 << 20
+
+// inflate decompresses blob into st's buffer, failing once the stream
+// exceeds limit bytes: a stream may not hold more than its factor count
+// allows, and Decode has already bounded that count by the record's raw
+// stream (maxFactors), except under ZZ. The buffer
+// grows only with bytes actually inflated, and a stream that fits is
+// read to EOF, which makes zlib verify its Adler-32. The result is valid
+// until st's next inflate.
+func (st *inflater) inflate(blob []byte, limit int) ([]byte, error) {
+	st.br.Reset(blob)
+	if st.zr == nil {
+		zr, err := zlib.NewReader(&st.br)
+		if err != nil {
+			return nil, err
+		}
+		st.zr = zr
+	} else if err := st.zr.(zlib.Resetter).Reset(&st.br, nil); err != nil {
 		return nil, err
 	}
-	defer zr.Close()
-	if sizeHint < 64 {
-		sizeHint = 64
+	out := st.out[:0]
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		// Read at most one byte past the limit: enough to detect overflow.
+		room := min(cap(out), limit+1)
+		n, err := st.zr.Read(out[len(out):room])
+		out = out[:len(out)+n]
+		st.out = out
+		if len(out) > limit {
+			return nil, fmt.Errorf("stream inflates past %d bytes", limit)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	out := bytes.NewBuffer(make([]byte, 0, sizeHint))
-	// The blob length is bounded by the enclosing document record, so a
-	// plain copy (no LimitReader) cannot be zip-bombed beyond the 4k/2k
-	// factor streams a document can legitimately declare.
-	if _, err := io.Copy(out, zr); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }
 
 // EncodedSize returns the size in bytes of the encoded form of factors

@@ -3,6 +3,7 @@ package rlz
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Factor is one element of an RLZ factorization. When Len > 0 it denotes
@@ -58,20 +59,33 @@ func (d *Dictionary) Factorize(doc []byte, factors []Factor) []Factor {
 // Decode appends the text reconstructed from factors to dst and returns
 // the extended slice (the paper's Figure 2). Factors referencing outside
 // the dictionary return ErrBadFactor, making Decode safe on untrusted
-// archives.
+// archives. Every factor is checked before dst grows, once, to the exact
+// output length, so a rejected record costs no allocation and dst is
+// returned unchanged.
+//
+//rlz:hotpath
 func (d *Dictionary) Decode(dst []byte, factors []Factor) ([]byte, error) {
 	text := d.data
 	m := uint32(len(text))
+	n := 0
 	for _, f := range factors {
 		if f.Len == 0 {
 			if f.Pos > 255 {
 				return dst, fmt.Errorf("%w: literal value %d", ErrBadFactor, f.Pos)
 			}
-			dst = append(dst, byte(f.Pos))
+			n++
 			continue
 		}
 		if f.Pos >= m || f.Len > m-f.Pos {
 			return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, f.Pos, f.Len, m)
+		}
+		n += int(f.Len)
+	}
+	dst = slices.Grow(dst, n)
+	for _, f := range factors {
+		if f.Len == 0 {
+			dst = append(dst, byte(f.Pos))
+			continue
 		}
 		dst = append(dst, text[f.Pos:f.Pos+f.Len]...)
 	}

@@ -149,8 +149,14 @@ func TestDecodeRejectsBadFactors(t *testing.T) {
 		{Pos: 300, Len: 0}, // literal out of byte range
 	}
 	for _, f := range cases {
-		if _, err := d.Decode(nil, []Factor{f}); err == nil {
+		// The bad factor follows a good one: nothing may be appended.
+		dst := []byte("prefix")
+		got, err := d.Decode(dst, []Factor{{Pos: 0, Len: 3}, f})
+		if err == nil {
 			t.Errorf("factor %v accepted", f)
+		}
+		if string(got) != "prefix" {
+			t.Errorf("factor %v: rejected decode returned %q, want dst unchanged", f, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/rlz"
 )
 
 // TestConcurrentGetSharedShardReader is the shard-layer edition of the
@@ -17,8 +18,15 @@ import (
 // that shard.Reader honors the archive.Reader concurrency contract.
 func TestConcurrentGetSharedShardReader(t *testing.T) {
 	docs := makeDocs(48, 11)
+	cases := map[string]archive.Options{}
 	for backend, opts := range optionsFor(docs) {
-		t.Run(string(backend), func(t *testing.T) {
+		cases[string(backend)] = opts
+	}
+	// ZZ inflates both streams of every record, so concurrent Gets share
+	// rlz's pooled inflate state twice per document.
+	cases["rlz-ZZ"] = archive.Options{Backend: archive.RLZ, Dict: dictFor(docs), Codec: rlz.CodecZZ}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "set")
 			if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 5, Archive: opts}); err != nil {
 				t.Fatal(err)

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
+	"rlz/internal/coding"
 	"rlz/internal/rlz"
 )
 
@@ -47,20 +50,56 @@ func FuzzOpenBytes(f *testing.F) {
 	})
 }
 
+// cutLenStream returns rec with its length stream cut short by n bytes
+// and re-framed, so decoding a zlib-coded one fails inside the inflate.
+func cutLenStream(rec []byte, n int) []byte {
+	_, a, _ := coding.Uvarint32(rec)
+	pl, b, _ := coding.Uvarint32(rec[a:])
+	posEnd := a + b + int(pl)
+	ll, c, _ := coding.Uvarint32(rec[posEnd:])
+	lens := rec[posEnd+c : posEnd+c+int(ll)]
+	out := append([]byte{}, rec[:posEnd]...)
+	out = coding.PutUvarint32(out, uint32(len(lens)-n))
+	return append(out, lens[:len(lens)-n]...)
+}
+
 // FuzzCodecDecode exercises every pair codec's decoder on arbitrary
-// record bytes.
+// record bytes. Decode draws its inflate state from a pool, so each input
+// is decoded, then a different valid record, then the input again: the
+// two decodes of the input must agree exactly, whether it decoded or
+// failed part-way through an inflate.
 func FuzzCodecDecode(f *testing.F) {
 	fs := []rlz.Factor{{Pos: 3, Len: 10}, {Pos: 'x', Len: 0}, {Pos: 0, Len: 1}}
 	for _, c := range rlz.AllCodecs {
 		f.Add(c.String(), c.Encode(nil, fs))
 	}
 	f.Add("US", rlz.CodecUS.Encode(nil, fs))
+	// ZZ records that fail inside the length stream's inflate: a bad
+	// Adler-32 and a stream cut short.
+	zz := rlz.CodecZZ.Encode(nil, fs)
+	badSum := append([]byte{}, zz...)
+	badSum[len(badSum)-1] ^= 0xFF
+	f.Add("ZZ", badSum)
+	f.Add("ZZ", cutLenStream(zz, 3))
+	other := make([]rlz.Factor, 40)
+	for i := range other {
+		other[i] = rlz.Factor{Pos: uint32(i * 977), Len: uint32(i % 7)}
+	}
 	f.Fuzz(func(t *testing.T, name string, data []byte) {
 		codec, err := rlz.CodecByName(name)
 		if err != nil {
 			return
 		}
 		dec, used, err := codec.Decode(nil, data)
+		mid, _, midErr := codec.Decode(nil, codec.Encode(nil, other))
+		if midErr != nil || !slices.Equal(mid, other) {
+			t.Fatalf("valid record after the input decoded to %v, %v", mid, midErr)
+		}
+		again, usedAgain, errAgain := codec.Decode(nil, data)
+		if fmt.Sprint(err) != fmt.Sprint(errAgain) || used != usedAgain || !slices.Equal(dec, again) {
+			t.Fatalf("decoding the input twice disagrees: (%d factors, %d, %v) then (%d factors, %d, %v)",
+				len(dec), used, err, len(again), usedAgain, errAgain)
+		}
 		if err != nil {
 			return
 		}

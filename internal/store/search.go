@@ -52,17 +52,13 @@ func (r *Reader) FindAll(pattern []byte, limit int) ([]Match, error) {
 // rest of the document (see rlz.Dictionary.DecodeRange). Requests beyond
 // the document's extent are clamped.
 func (r *Reader) GetRange(id, from, to int) ([]byte, error) {
-	off, n, err := r.Extent(id)
-	if err != nil {
-		return nil, err
+	fp := r.factors.Get()
+	factors, err := r.decodeRecord((*fp)[:0], id)
+	var out []byte
+	if err == nil {
+		out, err = r.dict.DecodeRange(nil, factors, from, to)
 	}
-	rec := make([]byte, n)
-	if _, err := r.r.ReadAt(rec, off); err != nil {
-		return nil, err
-	}
-	factors, _, err := r.codec.Decode(nil, rec)
-	if err != nil {
-		return nil, err
-	}
-	return r.dict.DecodeRange(nil, factors, from, to)
+	*fp = factors[:0]
+	r.factors.Put(fp)
+	return out, err
 }

@@ -22,6 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"rlz/internal/coding"
 	"rlz/internal/docmap"
@@ -238,10 +241,11 @@ func (w *Writer) Close() error {
 //
 // Concurrency: all Reader methods, including FindAll and GetRange, are
 // safe for concurrent use by multiple goroutines as long as each call
-// passes a distinct destination buffer. Per-call decode state (records,
-// factor slices, zlib inflaters) is allocated per Get, the document map
-// and dictionary text are immutable after Open, and the dictionary's
-// lazily built suffix array is guarded by a sync.Once.
+// passes a distinct destination buffer. Per-call decode state (record
+// buffers, factor slices, zlib inflaters) is drawn from sync.Pools and
+// owned by one call at a time, the document map and dictionary text are
+// immutable after Open, and the dictionary's lazily built suffix array
+// is guarded by a sync.Once.
 type Reader struct {
 	r            io.ReaderAt
 	dict         *rlz.Dictionary
@@ -250,6 +254,8 @@ type Reader struct {
 	payloadStart int64
 	size         int64
 	closer       io.Closer
+	factors      slicePool[rlz.Factor]
+	recs         slicePool[byte] // record buffers when r is not a mapping
 }
 
 // Open reads an archive's header, dictionary and document map from r,
@@ -381,22 +387,91 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 	return r.payloadStart + int64(o), int64(l), nil
 }
 
-// GetAppend retrieves document id, appending its text to dst. This is the
-// zero-steady-state-allocation path: pass the same buffers across calls.
+// GetAppend retrieves document id, appending its text to dst. In steady
+// state an uncached read allocates no decode state: the record is a view
+// of the mapping (or a pooled buffer), the factors land in a pooled
+// slice, inflate state comes from rlz's pool, and dst grows at most once.
+//
+//rlz:hotpath
 func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
+	fp := r.factors.Get()
+	factors, err := r.decodeRecord((*fp)[:0], id)
+	if err == nil {
+		dst, err = r.dict.Decode(dst, factors)
+	}
+	*fp = factors[:0]
+	r.factors.Put(fp)
+	return dst, err
+}
+
+// slicePool is a Reader's pool of decode buffers: factor slices, and
+// record buffers when the archive is not memory-mapped. Its typed Get and
+// Put keep the interface conversion of sync.Pool off the hot path.
+//
+//rlz:pool get=Get put=Put
+type slicePool[E any] struct {
+	p sync.Pool
+}
+
+// Get draws a slice from the pool.
+func (p *slicePool[E]) Get() *[]E {
+	if sp, ok := p.p.Get().(*[]E); ok {
+		return sp
+	}
+	return new([]E)
+}
+
+// Put returns a slice to the pool, dropping its backing array if it
+// outgrew maxPooledBytes, as rlz drops outsized inflate buffers: one
+// large document must not stay pinned in the pool. A nil sp is ignored.
+func (p *slicePool[E]) Put(sp *[]E) {
+	if sp == nil {
+		return
+	}
+	if cap(*sp)*int(unsafe.Sizeof(*new(E))) > maxPooledBytes {
+		*sp = nil
+	}
+	p.p.Put(sp)
+}
+
+// maxPooledBytes caps the backing array a pooled slice keeps between
+// reads.
+const maxPooledBytes = 1 << 20
+
+// slicer is the zero-copy capability of a memory-mapped backing store
+// (internal/mmapio.Mapping satisfies it); duck-typed so this package
+// stays independent of how the caller produced its ReaderAt.
+type slicer interface {
+	//rlz:view
+	Slice(off, n int64) ([]byte, error)
+}
+
+// decodeRecord reads document id's record and appends its factors to
+// factors. A memory-mapped archive hands the record over as a view of
+// the mapping; any other ReaderAt stages it through a pooled buffer. The
+// record does not outlive the call: the factors hold no reference to it.
+func (r *Reader) decodeRecord(factors []rlz.Factor, id int) ([]rlz.Factor, error) {
 	off, n, err := r.Extent(id)
 	if err != nil {
-		return dst, err
+		return factors, err
 	}
-	rec := make([]byte, n)
-	if _, err := r.r.ReadAt(rec, off); err != nil {
-		return dst, fmt.Errorf("store: reading document %d: %w", id, err)
+	var rec []byte
+	var rp *[]byte // the pooled buffer rec lives in, when not a view
+	if sl, ok := r.r.(slicer); ok {
+		rec, err = sl.Slice(off, n)
+	} else {
+		rp = r.recs.Get()
+		rec = slices.Grow((*rp)[:0], int(n))[:n]
+		*rp = rec
+		_, err = r.r.ReadAt(rec, off)
 	}
-	factors, _, err := r.codec.Decode(nil, rec)
 	if err != nil {
-		return dst, fmt.Errorf("store: document %d: %w", id, err)
+		err = fmt.Errorf("store: reading document %d: %w", id, err)
+	} else if factors, _, err = r.codec.Decode(factors, rec); err != nil {
+		err = fmt.Errorf("store: document %d: %w", id, err)
 	}
-	return r.dict.Decode(dst, factors)
+	r.recs.Put(rp)
+	return factors, err
 }
 
 // Get retrieves document id.
